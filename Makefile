@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-quick check matrix-smoke clean
+.PHONY: all build test bench bench-quick check matrix-smoke perfbench-check clean
 
 all: build
 
@@ -63,6 +63,21 @@ matrix-smoke: build
 	  '{"op":"quit"}' \
 	  | dune exec bin/ambient.exe -- serve --store /tmp/amblib-matrix-smoke.jsonl \
 	  | grep -q '"ran":0,'
+
+# Reference check of the repo benchmark (perfbench/README.md): the two
+# city workloads on seeds 1, 5 and 11 (11 is the held-out seed), one
+# second each.  perfbench exits 0 even when an output differs from its
+# pinned reference, so each result line must read "correct": true.
+perfbench-check:
+	@for w in city-steady city-churn; do \
+	  for s in 1 5 11; do \
+	    line=$$(sh perfbench/run.sh --workload $$w --seed $$s --seconds 1 --trace 0 | tail -n 1); \
+	    case "$$line" in \
+	      '{"correct": true,'*) echo "perfbench-check: $$w seed $$s correct" ;; \
+	      *) echo "perfbench-check: $$w seed $$s: $$line" >&2; exit 1 ;; \
+	    esac; \
+	  done; \
+	done
 
 clean:
 	dune clean

@@ -14,7 +14,12 @@
     - {!repair_death} / {!repair_weight_increase} — localized repair:
       only the subtree hanging off the failed node (or the worsened tree
       edge) is re-attached, via a boundary-seeded partial Dijkstra over
-      the affected set.
+      the affected set.  With a CSR adjacency the subtree is enumerated
+      from its root, so a repair costs O(subtree edges), not O(n).
+
+    Every update records the nodes it may have changed (the touched
+    set, {!touched_all} / {!iter_touched}), so callers mirroring the
+    tree can refresh only those entries.
 
     The repair paths are exact when shortest paths are unique (tie-free
     weights — energy-valued policies on continuous positions).  Under
@@ -30,8 +35,13 @@ type t = {
   dist : float array;  (** policy cost from the sink; [infinity] = unreachable *)
   prev : int array;  (** parent towards the sink; -1 = none *)
   visited : bool array;
-  mark : int array;  (** repair scratch: 0 unknown, 1 affected, 2 safe *)
-  stack : int array;  (** repair scratch: parent-chain walk *)
+  mark : int array;
+      (** repair scratch: 1 affected, anything else safe; all 0 between
+          repairs *)
+  stack : int array;
+      (** repair scratch (parent-chain walk), then the touched nodes in
+          ascending id order *)
+  mutable touched : int;  (** touched count in [stack]; -1 = every node *)
   heap : Amb_sim.Float_heap.t;
   csr_offsets : int array;  (** in-range adjacency rows; empty = dense all-pairs scan *)
   csr_neighbors : int array;
@@ -56,6 +66,7 @@ let create ?csr ~n ~sink () =
     visited = Array.make n false;
     mark = Array.make n 0;
     stack = Array.make n 0;
+    touched = -1;
     heap = Amb_sim.Float_heap.create ~capacity:(Stdlib.max 16 n) ();
     csr_offsets;
     csr_neighbors;
@@ -65,6 +76,12 @@ let node_count t = t.n
 let sink t = t.sink
 let parent t i = t.prev.(i)
 let cost t i = t.dist.(i)
+let touched_all t = t.touched < 0
+
+let iter_touched t f =
+  for k = 0 to t.touched - 1 do
+    f t.stack.(k)
+  done
 
 (* Dijkstra sweep over [t.heap]; relaxes only destinations [j] admitted
    by [admit].  Mirrors Graph.dijkstra exactly: stale-entry skip via
@@ -120,6 +137,7 @@ let all_nodes _ = true
     Graph-based rebuild byte-for-byte. *)
 let rebuild t ~weight ~alive =
   let dist = t.dist and prev = t.prev and visited = t.visited in
+  t.touched <- -1;
   for i = 0 to t.n - 1 do
     dist.(i) <- Float.infinity;
     prev.(i) <- -1;
@@ -133,7 +151,7 @@ let rebuild t ~weight ~alive =
 (* Partition the nodes into the subtree under [root] (affected) and the
    rest (safe) by walking parent chains with path compression into
    [mark].  Unreachable nodes (no parent) are safe: removing edges never
-   improves them. *)
+   improves them.  O(n): the dense path and the sink-rooted repair. *)
 let mark_subtree t ~root =
   let mark = t.mark and prev = t.prev and stack = t.stack in
   Array.fill mark 0 t.n 0;
@@ -156,27 +174,78 @@ let mark_subtree t ~root =
     end
   done
 
+(* Collect the subtree under [root] into [stack], ascending, with
+   [mark] = 1 on exactly its members.  With a CSR adjacency the subtree
+   is enumerated breadth-first from [root] itself — a node's children are
+   the row neighbours whose parent it is, which is every child because
+   a parent link is only ever set along a row and rows are symmetric —
+   so the cost is the subtree's edges, not n.  Without one (dense
+   scan), or when [root] is the sink, [mark_subtree] partitions every
+   node instead. *)
+let collect_subtree t ~root =
+  let mark = t.mark and stack = t.stack in
+  let count =
+    if Array.length t.csr_offsets > 0 && root <> t.sink then begin
+      let prev = t.prev and offsets = t.csr_offsets and neighbors = t.csr_neighbors in
+      mark.(root) <- 1;
+      stack.(0) <- root;
+      let tail = ref 1 in
+      let head = ref 0 in
+      while !head < !tail do
+        let u = stack.(!head) in
+        incr head;
+        for k = offsets.(u) to offsets.(u + 1) - 1 do
+          let v = neighbors.(k) in
+          if prev.(v) = u then begin
+            mark.(v) <- 1;
+            stack.(!tail) <- v;
+            incr tail
+          end
+        done
+      done;
+      let members = Array.sub stack 0 !tail in
+      Array.sort Int.compare members;
+      Array.blit members 0 stack 0 !tail;
+      !tail
+    end
+    else begin
+      mark_subtree t ~root;
+      let count = ref 0 in
+      for v = 0 to t.n - 1 do
+        if mark.(v) = 1 then begin
+          stack.(!count) <- v;
+          incr count
+        end
+        else mark.(v) <- 0
+      done;
+      !count
+    end
+  in
+  t.touched <- count
+
 (* Detach the affected subtree and re-attach it: seed every affected
    node with its best link from the intact region, then run a partial
-   Dijkstra confined to the affected set.  Exact whenever shortest paths
-   are unique. *)
+   Dijkstra confined to the affected set.  The subtree is processed in
+   ascending id order — the order the dense scan yields — so the
+   seeding order and heap tie-breaks do not depend on the adjacency.
+   Exact whenever shortest paths are unique.  A sink-rooted repair orphans the whole tree and
+   reports every node touched. *)
 let repair_from t ~weight ~alive ~root =
-  mark_subtree t ~root;
+  collect_subtree t ~root;
   let mark = t.mark and dist = t.dist and prev = t.prev and visited = t.visited in
-  let n = t.n in
-  for v = 0 to n - 1 do
-    if mark.(v) = 1 then begin
-      dist.(v) <- Float.infinity;
-      prev.(v) <- -1;
-      visited.(v) <- false
-    end
+  let stack = t.stack and count = t.touched in
+  for k = 0 to count - 1 do
+    let v = stack.(k) in
+    dist.(v) <- Float.infinity;
+    prev.(v) <- -1;
+    visited.(v) <- false
   done;
   Amb_sim.Float_heap.clear t.heap;
   (* Best link into [v] from the intact region; ascending [u] (a CSR row
      is ascending too, and omits only NaN-weight pairs, so both paths
      pick the same boundary edge). *)
   let seed_from v u =
-    if mark.(u) = 2 && u <> v && alive u && dist.(u) < Float.infinity then begin
+    if mark.(u) <> 1 && u <> v && alive u && dist.(u) < Float.infinity then begin
       let w = weight u v in
       if not (Float.is_nan w) then begin
         let candidate = dist.(u) +. w in
@@ -188,20 +257,25 @@ let repair_from t ~weight ~alive ~root =
     end
   in
   let sparse = Array.length t.csr_offsets > 0 in
-  for v = 0 to n - 1 do
-    if mark.(v) = 1 && alive v then begin
+  for k = 0 to count - 1 do
+    let v = stack.(k) in
+    if alive v then begin
       if sparse then
-        for k = t.csr_offsets.(v) to t.csr_offsets.(v + 1) - 1 do
-          seed_from v t.csr_neighbors.(k)
+        for e = t.csr_offsets.(v) to t.csr_offsets.(v + 1) - 1 do
+          seed_from v t.csr_neighbors.(e)
         done
       else
-        for u = 0 to n - 1 do
+        for u = 0 to t.n - 1 do
           seed_from v u
         done;
       if dist.(v) < Float.infinity then Amb_sim.Float_heap.push t.heap ~key:dist.(v) v
     end
   done;
-  sweep t ~weight ~alive ~admit:(fun j -> mark.(j) = 1)
+  sweep t ~weight ~alive ~admit:(fun j -> mark.(j) = 1);
+  for k = 0 to count - 1 do
+    mark.(stack.(k)) <- 0
+  done;
+  if root = t.sink then t.touched <- -1
 
 (** [repair_death t ~weight ~alive ~tie_free ~dead] — update the tree
     after node [dead] left the network ([alive dead] must already be
@@ -227,4 +301,4 @@ let repair_weight_increase t ~weight ~alive ~tie_free ~a ~b =
   if not tie_free then rebuild t ~weight ~alive
   else if t.prev.(a) = b then repair_from t ~weight ~alive ~root:a
   else if t.prev.(b) = a then repair_from t ~weight ~alive ~root:b
-  else ()
+  else t.touched <- 0

@@ -5,7 +5,8 @@
     {!Graph.dijkstra} pipeline byte-for-byte straight off a weight
     function, while {!repair_death} and {!repair_weight_increase} splice
     only the affected subtree back via a boundary-seeded partial
-    Dijkstra.  The repair paths are exact when shortest paths are unique
+    Dijkstra — with a CSR adjacency in O(subtree edges), since the
+    subtree is enumerated from its root.  The repair paths are exact when shortest paths are unique
     (tie-free weights); callers with unit-weight policies pass
     [tie_free:false] to fall back to the full rebuild, because
     equal-cost tie-breaks are a global property of the rebuild
@@ -34,6 +35,18 @@ val parent : t -> int -> int
 
 val cost : t -> int -> float
 (** Policy cost from the sink ([infinity] when unreachable). *)
+
+val touched_all : t -> bool
+(** Whether the last update may have changed any node: true after
+    {!rebuild} (and its fallbacks) and after a repair rooted at the
+    sink.  Before the first update it is true as well. *)
+
+val iter_touched : t -> (int -> unit) -> unit
+(** When not {!touched_all}: the nodes whose parent or cost the last
+    update may have changed, in ascending id order — the subtree that
+    was detached and re-attached (its root included), or nothing for a
+    no-op fade.  Every other node kept its parent, its cost and
+    therefore its whole parent chain. *)
 
 val rebuild : t -> weight:(int -> int -> float) -> alive:(int -> bool) -> unit
 (** From-scratch Dijkstra from the sink.  [weight u v] is the directed

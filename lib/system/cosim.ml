@@ -16,7 +16,9 @@
     faded tree edge (or no-op on non-tree edges).  [Min_hop] (global
     tie-breaks) and [Max_lifetime] (residual-dependent weights), as
     well as fades that improve a pair (a smaller fade replacing a
-    larger one), keep the full rebuild. *)
+    larger one), keep the full rebuild.  After a splice only the
+    spliced subtree's parent entries, hop tariffs and coverage state
+    are refreshed, so a repair costs O(subtree), not O(n). *)
 
 open Amb_units
 open Amb_sim
@@ -175,56 +177,23 @@ let run_with_router ?trace ?pool ?phase ?(fast_threshold = default_fast_threshol
   let tree =
     Route_tree.create ?csr:(Routing.adjacency router) ~n ~sink ()
   in
-  let parent = Array.make n (-2) in
-  (* Precomputed hop tariffs, twin to [parent]: [hop_tx.(i)] is the
-     sender cost of the tree hop i -> parent.(i) and [hop_kind.(i)] its
-     receiver classification.  Refreshed on every [sync_parents] —
-     i.e. exactly when the tree (or a fade) changes — so the fast
-     forwarding walk reads flat arrays with zero link-layer calls. *)
-  let hop_tx = if fast then Array.make n Float.nan else [||] in
-  let hop_kind = if fast then Array.make n 0 else [||] in
+  (* The forwarding walk reads the tree through [mirror]'s flat arrays:
+     parent entries and, on the fast path, precomputed hop tariffs
+     ([hop_tx.(i)] is the sender cost of the tree hop i -> parent.(i),
+     [hop_kind.(i)] its receiver classification), so it makes zero
+     link-layer calls.  [Tree_mirror.sync] refreshes exactly the
+     entries a tree update (or a fade) changed. *)
+  let mirror = Tree_mirror.create ~fleet ~tree ~link ~alive ~priced:fast in
+  let parent = Tree_mirror.parent mirror in
+  let hop_tx = Tree_mirror.hop_tx mirror and hop_kind = Tree_mirror.hop_kind mirror in
+  let leaf_count = Tree_mirror.leaf_count mirror in
   let generated = ref 0 and delivered = ref 0 and dropped = ref 0 in
   let deaths = ref [] in
   let rebuilds = ref 0 in
   let coverage = Stat.time_weighted () in
   let avail = Stat.time_weighted () in
-  let leaf_ids = Fleet.tier_nodes fleet Fleet.Sensor_leaf in
-  let leaf_count = Array.length leaf_ids in
   let note label time =
     match trace with None -> () | Some tr -> Trace.record tr ~time label
-  in
-  (* Fraction of leaves whose parent chain reaches the sink.  Parent
-     chains share long suffixes, so each call memoises reachability
-     per node with path compression into [reach] — O(n) per call
-     instead of O(leaves * depth), which matters at city scale where
-     both factors are 10^4+. *)
-  let reach = Array.make n 0 (* per-call: 0 unknown, 1 reaches sink, 2 does not *) in
-  let chain = Array.make n 0 in
-  let connected_fraction () =
-    if leaf_count = 0 then 1.0
-    else begin
-      Array.fill reach 0 n 0;
-      reach.(sink) <- 1;
-      let connected = ref 0 in
-      Array.iter
-        (fun leaf ->
-          if alive leaf then begin
-            let top = ref 0 in
-            let node = ref leaf in
-            while !node >= 0 && reach.(!node) = 0 && !top < n do
-              chain.(!top) <- !node;
-              incr top;
-              node := parent.(!node)
-            done;
-            let state = if !node >= 0 && reach.(!node) = 1 then 1 else 2 in
-            for k = 0 to !top - 1 do
-              reach.(chain.(k)) <- state
-            done;
-            if state = 1 then incr connected
-          end)
-        leaf_ids;
-      Float.of_int !connected /. Float.of_int leaf_count
-    end
   in
   (* Policy cost of hop [i -> j]: link-layer weights (fade-aware) with
      agent reserves feeding the max-lifetime policy — the same edge
@@ -242,21 +211,14 @@ let run_with_router ?trace ?pool ?phase ?(fast_threshold = default_fast_threshol
           let r = reserve i in
           if r <= 0.0 then Float.max_float /. 1e6 else joules /. r
   in
-  let sync_parents () =
-    for i = 0 to n - 1 do
-      parent.(i) <-
-        (if i = sink then -1
-         else
-           let p = Route_tree.parent tree i in
-           if p < 0 || not (alive i) then -2 else p)
-    done;
-    if fast then Link_layer.refresh_hop_tariffs link ~sink ~parent ~tx_j:hop_tx ~hop_kind
-  in
   (* Every tree update — full or spliced — feeds the coverage and
      availability accumulators at its instant, as the historic
      rebuild-everywhere path did. *)
   let record_stats now =
-    let f = connected_fraction () in
+    let f =
+      if leaf_count = 0 then 1.0
+      else Float.of_int (Tree_mirror.connected mirror) /. Float.of_int leaf_count
+    in
     Stat.update coverage ~time:now ~value:f;
     Stat.update avail ~time:now
       ~value:(if f >= cfg.availability_threshold then 1.0 else 0.0)
@@ -265,27 +227,29 @@ let run_with_router ?trace ?pool ?phase ?(fast_threshold = default_fast_threshol
   let rebuild now =
     incr rebuilds;
     Route_tree.rebuild tree ~weight ~alive;
-    sync_parents ();
+    Tree_mirror.sync mirror;
     record_stats now
   in
   (* Phase-timing shim: [rebuild_s] covers the initial and periodic
-     tree rebuilds; death-triggered repairs are attributed to whichever
-     phase raised them.  Wall-clock only — no observable state. *)
-  let rebuild =
+     tree rebuilds and the tree updates fault events raise (crashes,
+     fades); death-triggered repairs inside a forward walk or an
+     accounting tick are attributed to that phase.  Wall-clock only —
+     no observable state. *)
+  let timed_rebuild f x =
     match phase with
-    | None -> rebuild
+    | None -> f x
     | Some pt ->
-      fun now ->
-        let t0 = pt.clock () in
-        rebuild now;
-        pt.rebuild_s <- pt.rebuild_s +. (pt.clock () -. t0)
+      let t0 = pt.clock () in
+      f x;
+      pt.rebuild_s <- pt.rebuild_s +. (pt.clock () -. t0)
   in
+  let rebuild now = timed_rebuild rebuild now in
   let repair_after_death dead now =
     incr rebuilds;
     (match cfg.policy with
     | Routing.Min_energy -> Route_tree.repair_death tree ~weight ~alive ~tie_free:true ~dead
     | Routing.Min_hop | Routing.Max_lifetime -> Route_tree.rebuild tree ~weight ~alive);
-    sync_parents ();
+    Tree_mirror.sync mirror;
     record_stats now
   in
   let record_death i now =
@@ -400,7 +364,7 @@ let run_with_router ?trace ?pool ?phase ?(fast_threshold = default_fast_threshol
          link-layer pricing becomes a loop over [parent] / [hop_tx] /
          [hop_kind] — drop conditions, charges and their order exactly
          as above.  The arrays are re-read on every hop because a
-         mid-walk death repairs the tree (and refreshes the tariffs)
+         mid-walk death repairs the tree (and re-prices its subtree)
          before the walk continues, just as the historic walk re-prices
          each hop after a repair. *)
       let forward src now =
@@ -793,36 +757,38 @@ let run_with_router ?trace ?pool ?phase ?(fast_threshold = default_fast_threshol
   List.iter
     (function
       | Fault_plan.Node_crash { node; at } ->
-        Engine.schedule_at ~label:("fault:crash:" ^ Int.to_string node) engine at (fun e ->
-            if alive node then begin
-              let now = Engine.now_s e in
-              crash_node node now;
-              record_death node now
-            end)
+        Engine.schedule_at ~label:("fault:crash:" ^ Int.to_string node) engine at
+          (timed_rebuild (fun e ->
+               if alive node then begin
+                 let now = Engine.now_s e in
+                 crash_node node now;
+                 record_death node now
+               end))
       | Fault_plan.Link_fade { a; b; db; at } ->
-        Engine.schedule_at ~label:(Printf.sprintf "fault:fade:%d-%d" a b) engine at (fun e ->
-            let now = Engine.now_s e in
-            (* A replaced fade can lower the pair cost (or resurrect a
-               NaN link), which may improve remote paths — only a fade
-               that worsens both directions is eligible for the local
-               tree-edge repair. *)
-            let before_ab = Link_layer.weight_j link a b
-            and before_ba = Link_layer.weight_j link b a in
-            Link_layer.set_fade link ~a ~b ~db;
-            let after_ab = Link_layer.weight_j link a b
-            and after_ba = Link_layer.weight_j link b a in
-            let worsened old_w new_w =
-              if Float.is_nan new_w then true
-              else (not (Float.is_nan old_w)) && new_w >= old_w
-            in
-            incr rebuilds;
-            (match cfg.policy with
-            | Routing.Min_energy
-              when worsened before_ab after_ab && worsened before_ba after_ba ->
-              Route_tree.repair_weight_increase tree ~weight ~alive ~tie_free:true ~a ~b
-            | _ -> Route_tree.rebuild tree ~weight ~alive);
-            sync_parents ();
-            record_stats now)
+        Engine.schedule_at ~label:(Printf.sprintf "fault:fade:%d-%d" a b) engine at
+          (timed_rebuild (fun e ->
+               let now = Engine.now_s e in
+               (* A replaced fade can lower the pair cost (or resurrect a
+                  NaN link), which may improve remote paths — only a fade
+                  that worsens both directions is eligible for the local
+                  tree-edge repair. *)
+               let before_ab = Link_layer.weight_j link a b
+               and before_ba = Link_layer.weight_j link b a in
+               Link_layer.set_fade link ~a ~b ~db;
+               let after_ab = Link_layer.weight_j link a b
+               and after_ba = Link_layer.weight_j link b a in
+               let worsened old_w new_w =
+                 if Float.is_nan new_w then true
+                 else (not (Float.is_nan old_w)) && new_w >= old_w
+               in
+               incr rebuilds;
+               (match cfg.policy with
+               | Routing.Min_energy
+                 when worsened before_ab after_ab && worsened before_ba after_ba ->
+                 Route_tree.repair_weight_increase tree ~weight ~alive ~tie_free:true ~a ~b
+               | _ -> Route_tree.rebuild tree ~weight ~alive);
+               Tree_mirror.sync ~fade:(a, b) mirror;
+               record_stats now))
       | Fault_plan.Battery_scale _ -> ())
     cfg.faults;
   let end_s = Engine.run_s ~until_s:horizon_s engine in

@@ -75,7 +75,8 @@ val default_fast_threshold : int
 (** Fleet size (1024) at which a run switches from per-object
     {!Node_agent} accounting and per-hop {!Link_layer} pricing to the
     struct-of-arrays fast path: {!Fleet_ledger} columns, hop tariffs
-    precomputed on every route-tree sync, and report streams on the
+    precomputed and re-priced for the nodes each route-tree update
+    changes ({!Tree_mirror}), and report streams on the
     engine's indexed event channel.  The two paths are bit-for-bit
     identical (same ledgers, death instants, event chronology, RNG
     draws and digests); every legacy experiment stays below the
@@ -85,14 +86,16 @@ type phase_times = {
   clock : unit -> float;  (** wall-clock source, e.g. [Unix.gettimeofday] *)
   mutable forward_s : float;  (** report batches: walks, charges, re-arms *)
   mutable account_s : float;  (** periodic + final accounting ticks *)
-  mutable rebuild_s : float;  (** initial + periodic tree rebuilds *)
+  mutable rebuild_s : float;
+      (** initial + periodic tree rebuilds, and the tree updates raised
+          by fault events (crashes, fades) *)
 }
 (** Wall-clock accumulators for a run's three bulk phases, filled when
     passed to {!run_with_router}.  Purely observational — timing never
     feeds back into the simulation.  The forward split is collected on
     the fast path (batched report drains); on the historic path it
-    stays 0.  Death-triggered repairs are attributed to whichever
-    phase raised them. *)
+    stays 0.  Repairs after a battery death are attributed to the
+    phase that raised them (a forward walk or an accounting tick). *)
 
 val phase_times : clock:(unit -> float) -> phase_times
 (** Fresh zeroed accumulators around [clock]. *)

@@ -11,6 +11,15 @@ open Amb_net
 
 type mode = Off | Cached | Mac of Mac_duty_cycle.t
 
+(* Fades keyed by the ordered pair (a <= b) packed into one int; a
+   multiplicative hash keeps the lookup off the generic C hash. *)
+module Fades = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = (k * 0x2545F4914F6CDD1D) lsr 17
+end)
+
 type t = {
   router : Routing.t;
   mode : mode;
@@ -18,7 +27,8 @@ type t = {
   rx_overhead_j : float;
   sampling_w : float;
   exponent : float;  (** path-loss exponent, for fade -> distance mapping *)
-  mutable fades : (int * int * float) list;
+  n : int;  (** node count, for packing pair keys *)
+  fades : float Fades.t;  (** extra dB per faded pair *)
   tag_link : Backscatter.t option;
   is_tag : int -> bool;
   is_reader : int -> bool;  (** nodes allowed to terminate a tag hop *)
@@ -56,23 +66,21 @@ let create ?tag_link ~router ~mode () =
       ( Energy.to_joules (Backscatter.tag_energy_per_report b ~bits),
         Energy.to_joules (Backscatter.reader_energy_per_report b ~bits) )
   in
-  { router; mode; tx_overhead_j; rx_overhead_j; sampling_w; exponent; fades = [];
+  let n = Topology.node_count router.Routing.topology in
+  { router; mode; tx_overhead_j; rx_overhead_j; sampling_w; exponent; n; fades = Fades.create 16;
     tag_link = bs; is_tag; is_reader; tag_tx_j; reader_rx_j }
 
 let mode t = t.mode
 
-let key a b = if a <= b then (a, b) else (b, a)
+let key t a b = if a <= b then (a * t.n) + b else (b * t.n) + a
 
 let set_fade t ~a ~b ~db =
   if db < 0.0 then invalid_arg "Link_layer.set_fade: negative dB";
-  let x, y = key a b in
-  t.fades <- (x, y, db) :: List.filter (fun (p, q, _) -> (p, q) <> (x, y)) t.fades
+  Fades.replace t.fades (key t a b) db
 
 let fade_db t a b =
-  let x, y = key a b in
-  match List.find_opt (fun (p, q, _) -> p = x && q = y) t.fades with
-  | Some (_, _, db) -> db
-  | None -> 0.0
+  if Fades.length t.fades = 0 then 0.0
+  else match Fades.find_opt t.fades (key t a b) with Some db -> db | None -> 0.0
 
 (* TX joules over a faded pair: the extra loss shows up as an effective
    distance under the log-distance exponent. *)
@@ -130,35 +138,35 @@ let hop_normal = 0
 let hop_tag = 1
 let hop_sink_parent = 2
 
-(* Batch twin of [cost_tx_j] over a whole parent array.  Runs on every
-   route-tree sync (rebuild / death repair / fade), never per packet,
-   so the per-hop CSR binary search and fade lookup of the historic
-   walk collapse into one refresh per topology event.  Each entry is
-   exactly [cost_tx_j t node parent.(node)] — the fade-free non-tag
-   shortcut below inlines [phy_tx_j] at db = 0, which *is*
+(* Tariff of one tree hop, precomputed at route-tree sync time (rebuild
+   / repair / fade), never per packet, so the per-hop CSR binary search
+   and fade lookup of the historic walk leave the forwarding loop.  The
+   entry is exactly [cost_tx_j t node parent.(node)] — the fade-free
+   non-tag shortcut below inlines [phy_tx_j] at db = 0, which *is*
    [Routing.sender_energy_j], so the tariffs stay bit-identical. *)
+let refresh_hop_tariff t ~sink ~parent ~tx_j ~hop_kind node =
+  let p = parent.(node) in
+  if p < 0 then begin
+    (* Orphan or dead: the walk drops before pricing, but keep the
+       entry poisoned so a stale read can never charge anything. *)
+    tx_j.(node) <- Float.nan;
+    hop_kind.(node) <- hop_normal
+  end
+  else begin
+    let tag = t.is_tag node in
+    tx_j.(node) <-
+      (if Fades.length t.fades = 0 && not tag then
+         match t.mode with
+         | Off -> 0.0
+         | Cached -> Routing.sender_energy_j t.router node p
+         | Mac _ -> Routing.sender_energy_j t.router node p +. t.tx_overhead_j
+       else cost_tx_j t node p);
+    hop_kind.(node) <- (if tag then hop_tag else if p = sink then hop_sink_parent else hop_normal)
+  end
+
 let refresh_hop_tariffs t ~sink ~parent ~tx_j ~hop_kind =
-  let n = Array.length parent in
-  let fade_free = match t.fades with [] -> true | _ :: _ -> false in
-  for node = 0 to n - 1 do
-    let p = parent.(node) in
-    if p < 0 then begin
-      (* Orphan or dead: the walk drops before pricing, but keep the
-         entry poisoned so a stale read can never charge anything. *)
-      tx_j.(node) <- Float.nan;
-      hop_kind.(node) <- hop_normal
-    end
-    else begin
-      let tag = t.is_tag node in
-      tx_j.(node) <-
-        (if fade_free && not tag then
-           match t.mode with
-           | Off -> 0.0
-           | Cached -> Routing.sender_energy_j t.router node p
-           | Mac _ -> Routing.sender_energy_j t.router node p +. t.tx_overhead_j
-         else cost_tx_j t node p);
-      hop_kind.(node) <- (if tag then hop_tag else if p = sink then hop_sink_parent else hop_normal)
-    end
+  for node = 0 to Array.length parent - 1 do
+    refresh_hop_tariff t ~sink ~parent ~tx_j ~hop_kind node
   done
 
 (* Route sweeps relax from the sink outward and call [weight_j t u v]

@@ -49,6 +49,8 @@ val set_fade : t -> a:int -> b:int -> db:float -> unit
     [Invalid_argument] on negative dB. *)
 
 val fade_db : t -> int -> int -> float
+(** The extra loss on a pair, 0 when none was set.  O(1): fades live in
+    a table keyed by the ordered pair. *)
 
 val cost_tx_j : t -> int -> int -> float
 (** Joules charged to the sender for one packet over a pair; NaN when the
@@ -79,16 +81,22 @@ val hop_tag : int
 val hop_sink_parent : int
 (** … or a hop into the sink, which listens for free. *)
 
+val refresh_hop_tariff :
+  t -> sink:int -> parent:int array -> tx_j:float array -> hop_kind:int array -> int -> unit
+(** [refresh_hop_tariff t ~sink ~parent ~tx_j ~hop_kind node] — when
+    [parent.(node) >= 0], store the sender tariff
+    [tx_j.(node) = cost_tx_j t node parent.(node)] (bit-exact, NaN when
+    the hop cannot close) and the receiver classification
+    [hop_kind.(node)] ({!hop_normal} / {!hop_tag} /
+    {!hop_sink_parent}); an orphan gets a NaN tariff.  The entry depends
+    only on [node], its parent and the fade on that pair, so after a
+    tree update only the nodes whose parent changed — and the endpoints
+    of a new fade — need re-pricing.  The forwarding fast path then
+    walks flat arrays with zero link-layer calls per hop. *)
+
 val refresh_hop_tariffs :
   t -> sink:int -> parent:int array -> tx_j:float array -> hop_kind:int array -> unit
-(** Precompute, for every node with [parent.(node) >= 0], the sender
-    tariff [tx_j.(node) = cost_tx_j t node parent.(node)] (bit-exact,
-    NaN when the hop cannot close) and the receiver classification
-    [hop_kind.(node)] ({!hop_normal} / {!hop_tag} /
-    {!hop_sink_parent}).  Orphans get a NaN tariff.  Called on every
-    route-tree sync, so the arrays are stale only when the tree itself
-    is — the forwarding fast path then walks flat arrays with zero
-    link-layer calls per hop. *)
+(** {!refresh_hop_tariff} for every node of [parent]. *)
 
 val weight_j : t -> int -> int -> float
 (** [weight_j t u v] — physical TX+RX joules for routing weights,

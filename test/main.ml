@@ -25,6 +25,7 @@ let () =
       ("coexistence", Test_coexistence.suite);
       ("failure injection", Test_failure_injection.suite);
       ("route repair", Test_route_repair.suite);
+      ("tree mirror", Test_tree_mirror.suite);
       ("system", Test_system.suite);
       ("golden", Test_golden.suite);
       ("report io", Test_report_io.suite);

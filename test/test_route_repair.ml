@@ -7,7 +7,11 @@
    ascending destination insertion order) with the policy weights and
    run Graph.dijkstra from the sink.  After every fault — node death or
    link fade — the repaired tree must agree with a from-scratch oracle
-   on parents and hop costs, for all three routing policies. *)
+   on parents and hop costs, for all three routing policies, both over
+   the dense all-pairs scan and over a CSR adjacency (where a repair
+   walks the subtree from its root).  Every repair must also report as
+   touched exactly the subtree whose parent chains ran through its
+   root. *)
 
 open Amb_circuit
 open Amb_radio
@@ -40,6 +44,30 @@ let check_against_oracle ~ctx ~n ~sink ~weight ~alive tree =
     end
   done
 
+(* The subtree a repair rooted at [root] must detach, from the parents
+   before the repair: every node whose parent chain passes through
+   [root] — the O(n) partition the dense path computes. *)
+let expected_subtree ~n ~prev ~root =
+  List.filter
+    (fun v ->
+      let rec up u steps = u = root || (u >= 0 && steps < n && up prev.(u) (steps + 1)) in
+      up v 0)
+    (List.init n Fun.id)
+
+let touched_nodes tree =
+  let acc = ref [] in
+  Route_tree.iter_touched tree (fun v -> acc := v :: !acc);
+  List.rev !acc
+
+(* After a repair: a tie-free repair reports exactly the detached
+   subtree (ascending), a full-rebuild fallback reports every node. *)
+let check_touched ~ctx ~tie_free ~expected tree =
+  if tie_free then begin
+    Alcotest.(check bool) (ctx ^ ": touched is a subtree") false (Route_tree.touched_all tree);
+    Alcotest.(check (list int)) (ctx ^ ": touched set") expected (touched_nodes tree)
+  end
+  else Alcotest.(check bool) (ctx ^ ": fallback touches all") true (Route_tree.touched_all tree)
+
 (* --- random fault sequences ------------------------------------------ *)
 
 (* Policy weights in the exact shape the simulators use: energy costs
@@ -58,14 +86,20 @@ let make_weight ~policy ~router ~fade ~residual =
       else if residual.(i) <= 0.0 then Float.max_float /. 1e6
       else joules /. residual.(i)
 
-let run_trial ~policy ~trial =
+(* [csr] builds the routing cache as a CSR adjacency (whatever the node
+   count) and hands it to the tree, so repairs take the subtree-walk
+   path; otherwise the tree scans all pairs. *)
+let run_trial ~csr ~policy ~trial =
   let rng = Amb_sim.Rng.create (1000 + trial) in
   let n = 8 + Amb_sim.Rng.int rng 33 in
   let topology = Topology.random rng ~nodes:n ~width_m:220.0 ~height_m:220.0 in
   let link =
     Link_budget.make ~radio:Radio_frontend.low_power_uhf ~channel:Path_loss.indoor ()
   in
-  let router = Routing.make ~topology ~link ~packet:Packet.sensor_report () in
+  let router =
+    Routing.make ?dense_threshold:(if csr then Some 0 else None) ~topology ~link
+      ~packet:Packet.sensor_report ()
+  in
   let fade = Array.init n (fun _ -> Array.make n 1.0) in
   let residual = Array.init n (fun _ -> 0.5 +. Amb_sim.Rng.float rng) in
   let alive = Array.make n true in
@@ -76,8 +110,11 @@ let run_trial ~policy ~trial =
      unit weights make the repair fall back to the full rebuild, which
      must still match the oracle. *)
   let tie_free = policy <> Routing.Min_hop in
-  let tree = Route_tree.create ~n ~sink () in
+  let tree = Route_tree.create ?csr:(Routing.adjacency router) ~n ~sink () in
+  if csr then
+    Alcotest.(check bool) "csr adjacency present" true (Routing.adjacency router <> None);
   Route_tree.rebuild tree ~weight ~alive:alive_fn;
+  Alcotest.(check bool) "rebuild touches all" true (Route_tree.touched_all tree);
   check_against_oracle
     ~ctx:(Printf.sprintf "trial %d initial" trial)
     ~n ~sink ~weight ~alive:alive_fn tree;
@@ -92,8 +129,11 @@ let run_trial ~policy ~trial =
       | [] -> ()
       | _ ->
         let dead = List.nth candidates (Amb_sim.Rng.int rng (List.length candidates)) in
+        let prev = Array.init n (Route_tree.parent tree) in
         alive.(dead) <- false;
         Route_tree.repair_death tree ~weight ~alive:alive_fn ~tie_free ~dead;
+        check_touched ~ctx:(ctx ^ " death") ~tie_free
+          ~expected:(expected_subtree ~n ~prev ~root:dead) tree;
         check_against_oracle ~ctx:(ctx ^ " death") ~n ~sink ~weight ~alive:alive_fn tree
     end
     else begin
@@ -102,19 +142,42 @@ let run_trial ~policy ~trial =
       let a = Amb_sim.Rng.int rng n in
       let b = (a + 1 + Amb_sim.Rng.int rng (n - 1)) mod n in
       let factor = 1.5 +. (3.5 *. Amb_sim.Rng.float rng) in
+      let prev = Array.init n (Route_tree.parent tree) in
       fade.(a).(b) <- fade.(a).(b) *. factor;
       fade.(b).(a) <- fade.(b).(a) *. factor;
       Route_tree.repair_weight_increase tree ~weight ~alive:alive_fn ~tie_free ~a ~b;
+      let expected =
+        if prev.(a) = b then expected_subtree ~n ~prev ~root:a
+        else if prev.(b) = a then expected_subtree ~n ~prev ~root:b
+        else []
+      in
+      check_touched ~ctx:(ctx ^ " fade") ~tie_free ~expected tree;
       check_against_oracle ~ctx:(ctx ^ " fade") ~n ~sink ~weight ~alive:alive_fn tree
     end
   done
 
 let trials_per_policy = 40
 
-let test_repair_matches_rebuild policy () =
+let test_repair_matches_rebuild ~csr policy () =
   for trial = 1 to trials_per_policy do
-    run_trial ~policy ~trial
+    run_trial ~csr ~policy ~trial
   done
+
+(* The subtree walk finds a node's children in its own CSR row, which
+   holds every child only if the adjacency is symmetric. *)
+let test_city_csr_symmetric () =
+  let fleet = Amb_system.Fleet.city ~nodes:3000 ~seed:7 () in
+  match Routing.adjacency fleet.Amb_system.Fleet.router with
+  | None -> Alcotest.fail "city fleet above the dense threshold has no CSR adjacency"
+  | Some (offsets, neighbors) ->
+    let row i = Array.to_list (Array.sub neighbors offsets.(i) (offsets.(i + 1) - offsets.(i))) in
+    for i = 0 to Array.length offsets - 2 do
+      List.iter
+        (fun j ->
+          if not (List.mem i (row j)) then
+            Alcotest.failf "csr not symmetric: %d lists %d but not the reverse" i j)
+        (row i)
+    done
 
 (* Directed check of the no-op case: worsening an edge the tree does not
    use must leave parents untouched (and stay oracle-exact). *)
@@ -223,11 +286,18 @@ let test_rng_allocation_budget () =
 
 let suite =
   [ Alcotest.test_case "repair vs rebuild oracle: min-hop" `Slow
-      (test_repair_matches_rebuild Routing.Min_hop);
+      (test_repair_matches_rebuild ~csr:false Routing.Min_hop);
     Alcotest.test_case "repair vs rebuild oracle: min-energy" `Slow
-      (test_repair_matches_rebuild Routing.Min_energy);
+      (test_repair_matches_rebuild ~csr:false Routing.Min_energy);
     Alcotest.test_case "repair vs rebuild oracle: max-lifetime" `Slow
-      (test_repair_matches_rebuild Routing.Max_lifetime);
+      (test_repair_matches_rebuild ~csr:false Routing.Max_lifetime);
+    Alcotest.test_case "csr repair vs rebuild oracle: min-hop" `Slow
+      (test_repair_matches_rebuild ~csr:true Routing.Min_hop);
+    Alcotest.test_case "csr repair vs rebuild oracle: min-energy" `Slow
+      (test_repair_matches_rebuild ~csr:true Routing.Min_energy);
+    Alcotest.test_case "csr repair vs rebuild oracle: max-lifetime" `Slow
+      (test_repair_matches_rebuild ~csr:true Routing.Max_lifetime);
+    Alcotest.test_case "city csr adjacency is symmetric" `Quick test_city_csr_symmetric;
     Alcotest.test_case "non-tree fade is a parent-preserving no-op" `Quick
       test_non_tree_fade_noop;
     Alcotest.test_case "engine inner loop is allocation-free" `Quick
