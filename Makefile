@@ -65,12 +65,13 @@ matrix-smoke: build
 	  | grep -q '"ran":0,'
 
 # Reference check of the repo benchmark (perfbench/README.md): the two
-# city workloads on seeds 1, 5 and 11 (11 is the held-out seed), one
-# second each.  perfbench exits 0 even when an output differs from its
-# pinned reference, so each result line must read "correct": true.
+# city workloads on all 16 pinned seed slots (0-15; 11 is the held-out
+# seed), one second each.  perfbench exits 0 even when an output differs
+# from its pinned reference, so each result line must read
+# "correct": true.
 perfbench-check:
 	@for w in city-steady city-churn; do \
-	  for s in 1 5 11; do \
+	  for s in 0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15; do \
 	    line=$$(sh perfbench/run.sh --workload $$w --seed $$s --seconds 1 --trace 0 | tail -n 1); \
 	    case "$$line" in \
 	      '{"correct": true,'*) echo "perfbench-check: $$w seed $$s correct" ;; \

@@ -118,12 +118,18 @@ let energy_per_bit_rx radio = Data_rate.energy_per_bit radio.p_rx radio.bitrate
 (** [startup_energy radio] — energy of one sleep-to-active transition. *)
 let startup_energy radio = Energy.of_power_time radio.startup_power radio.startup_time
 
+(** [burst_energy radio ~tx_dbm ~airtime ~startup] — the staged form of
+    {!transmit_energy}: one TX burst of [airtime], plus [startup] when
+    given, with both computed once by the caller. *)
+let burst_energy radio ~tx_dbm ~airtime ~startup =
+  let burst = Energy.of_power_time (tx_power radio ~tx_dbm) airtime in
+  match startup with Some e -> Energy.add burst e | None -> burst
+
 (** [transmit_energy radio ~tx_dbm ~bits ~include_startup] — energy of one
     TX burst of [bits] payload+overhead bits. *)
 let transmit_energy radio ~tx_dbm ~bits ~include_startup =
-  let airtime = Data_rate.transfer_time radio.bitrate bits in
-  let burst = Energy.of_power_time (tx_power radio ~tx_dbm) airtime in
-  if include_startup then Energy.add burst (startup_energy radio) else burst
+  burst_energy radio ~tx_dbm ~airtime:(Data_rate.transfer_time radio.bitrate bits)
+    ~startup:(if include_startup then Some (startup_energy radio) else None)
 
 (** [receive_energy radio ~bits ~include_startup]. *)
 let receive_energy radio ~bits ~include_startup =

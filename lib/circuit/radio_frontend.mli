@@ -73,6 +73,12 @@ val startup_energy : t -> Energy.t
 (** Energy of one sleep-to-active transition. *)
 
 val transmit_energy : t -> tx_dbm:float -> bits:float -> include_startup:bool -> Energy.t
+
+val burst_energy : t -> tx_dbm:float -> airtime:Time_span.t -> startup:Energy.t option -> Energy.t
+(** Staged {!transmit_energy}: the burst over a precomputed [airtime] plus
+    an optional precomputed start-up energy.  [transmit_energy] is
+    defined by it, so both give the same bits. *)
+
 val receive_energy : t -> bits:float -> include_startup:bool -> Energy.t
 
 val effective_energy_per_bit : t -> tx_dbm:float -> bits:float -> Energy.t

@@ -12,12 +12,15 @@
     the historic flat n×n joule grid is materialised — O(n²) memory, O(1)
     lookup, byte-identical behaviour for every existing experiment.
     Above it, only the in-range pairs exist: a CSR adjacency (offsets /
-    neighbour ids / per-edge TX joules) built from a {!Spatial} grid
-    range query, O(n + edges) memory and build time, with per-pair
+    neighbour ids / per-edge TX joules) built from {!Spatial} grid
+    range queries, O(n + edges) memory and build time, with per-pair
     lookups answered by a binary search of the (short, sorted) neighbour
-    row.  The CSR edge-energy fill is embarrassingly parallel and shards
-    across {!Amb_sim.Domain_pool} — it is a pure function of the node
-    positions, so the result is bitwise independent of [jobs]. *)
+    row.  The build scans the grid twice per node (count, then fill),
+    prices each undirected pair once with the link-budget terms staged
+    per build, and mirrors that energy into the reverse slot; the
+    passes shard across {!Amb_sim.Domain_pool} and are a pure function
+    of the node positions, so the result is bitwise independent of
+    [jobs]. *)
 
 open Amb_units
 open Amb_radio
@@ -50,16 +53,38 @@ type t = {
           unsynchronised — parallel shards each build their own router *)
 }
 
-(* TX energy for one packet over [distance_m]; NaN beyond radio reach.
-   The physical-layer math (link-budget inversion + startup amortisation)
-   runs once per distance and is memoized in [tx_memo]. *)
-let tx_joules ~link ~packet ~distance_m =
-  match Link_budget.required_tx_dbm link ~distance_m with
+(* The distance-independent terms of [tx_joules], computed once: the
+   staged link budget (wavelength, reference-distance loss, sensitivity
+   plus margin), the packet's airtime and the start-up energy. *)
+type tx_stage = {
+  budget : Link_budget.staged;
+  radio : Amb_circuit.Radio_frontend.t;
+  airtime : Time_span.t;
+  startup : Energy.t option;
+}
+
+let stage_tx ~link ~packet =
+  let radio = link.Link_budget.radio in
+  { budget = Link_budget.stage link;
+    radio;
+    airtime =
+      Data_rate.transfer_time radio.Amb_circuit.Radio_frontend.bitrate (Packet.total_bits packet);
+    startup = Some (Amb_circuit.Radio_frontend.startup_energy radio) }
+
+(* TX energy for one packet over [distance_m]; NaN beyond radio reach:
+   the link-budget inversion, then the burst at that level plus the
+   start-up energy.  The CSR build stages once and calls this per edge;
+   [tx_joules] (the dense grid and the distance memo) stages per call,
+   so both run the same float operations in the same order. *)
+let staged_tx_joules s ~distance_m =
+  match Link_budget.staged_required_tx_dbm s.budget ~distance_m with
   | None -> Float.nan
   | Some tx_dbm ->
     Energy.to_joules
-      (Amb_circuit.Radio_frontend.transmit_energy link.Link_budget.radio ~tx_dbm
-         ~bits:(Packet.total_bits packet) ~include_startup:true)
+      (Amb_circuit.Radio_frontend.burst_energy s.radio ~tx_dbm ~airtime:s.airtime
+         ~startup:s.startup)
+
+let tx_joules ~link ~packet ~distance_m = staged_tx_joules (stage_tx ~link ~packet) ~distance_m
 
 (** [tx_energy_j_at router ~distance_m] — memoized TX-side joules for an
     arbitrary hop length; NaN beyond radio reach.  Keyed on the exact
@@ -80,24 +105,34 @@ let tx_energy_j_at router ~distance_m =
 let default_dense_threshold = 1024
 
 (* CSR adjacency over the in-range pairs, neighbours ascending per row.
-   Build: grid range queries for structure (counting pass + fill pass +
-   per-row insertion sort — rows are O(average degree)), then the edge
-   energy fill, optionally sharded across a domain pool in contiguous
-   edge-slot chunks (each edge's energy is a pure function of its
-   endpoint positions, so sharding cannot move a bit). *)
+   - count: one [Spatial.degree] scan per row, then a serial prefix sum;
+   - fill: one [Spatial.fill_within] scan per row writes it ascending,
+     with each forward edge's ([j > i]) distance parked in its
+     [edge_tx_j] slot;
+   - price: each forward distance is priced in place, once per
+     undirected pair, with the link budget staged once per build;
+   - mirror (serial): the energy of (i, j) is copied into the (j, i)
+     slot.  Rows ascend, so row [j]'s backward entries ([i < j], the
+     head of the row) are reached in ascending [i]: a per-row cursor
+     walks them in order.  [Float.hypot] of negated differences gives
+     the same bits, so the copy equals what pricing (j, i) would give.
+   Count and fill shard by rows, price by edge slots through the
+   edge-slot -> row map [row_of], whose storage then serves as the
+   mirror's cursor.  (A row-sharded price pass needs no [row_of] and
+   builds the same cache, but on the benchmark's city-churn workload it
+   raised the peak heap by a fifth: with less allocated during the
+   build, the GC's pacing let the later run's garbage pile higher.)
+   Every value is a pure function of the read-only grid and positions
+   and every sharded pass writes only its own rows or slots, so
+   sharding cannot move a bit. *)
 let build_sparse ~topology ~link ~packet ~range_m ~jobs =
   let n = Topology.node_count topology in
   let index = Topology.spatial topology ~cell_m:range_m in
+  let stage = stage_tx ~link ~packet in
   let jobs = Stdlib.max 1 jobs in
   let offsets = Array.make (n + 1) 0 in
-  (* The whole build parameterised over a sharding strategy: every pass
-     below writes slots owned by its own rows (or edge slots), and every
-     value is a pure function of the read-only grid and positions, so
-     contiguous-chunk sharding cannot move a bit.  [shard total task]
-     runs [task lo hi] over a partition of [0, total). *)
+  (* [shard total task] runs [task lo hi] over a partition of [0, total). *)
   let build shard =
-    (* Range-count sweep: per-row degrees, then prefix sum (serial — it
-       is a dependent chain of n int adds). *)
     shard n (fun lo hi ->
         for i = lo to hi - 1 do
           offsets.(i + 1) <- Spatial.degree index i ~range_m
@@ -107,29 +142,13 @@ let build_sparse ~topology ~link ~packet ~range_m ~jobs =
     done;
     let edges = offsets.(n) in
     let neighbors = Array.make edges 0 in
-    (* Neighbour fill + per-row insertion sort: grid enumeration is
-       cell-major; restore ascending ids so per-pair lookups can
-       binary-search the row. *)
+    let edge_tx_j = Array.make edges Float.nan in
     shard n (fun lo hi ->
         for i = lo to hi - 1 do
-          let rlo = offsets.(i) in
-          let cursor = ref rlo in
-          Spatial.iter_within index i ~range_m (fun j _ ->
-              neighbors.(!cursor) <- j;
-              incr cursor);
-          for k = rlo + 1 to !cursor - 1 do
-            let v = neighbors.(k) in
-            let p = ref k in
-            while !p > rlo && neighbors.(!p - 1) > v do
-              neighbors.(!p) <- neighbors.(!p - 1);
-              decr p
-            done;
-            neighbors.(!p) <- v
-          done
+          ignore (Spatial.fill_within index i ~range_m neighbors edge_tx_j offsets.(i) : int)
         done);
-    let edge_tx_j = Array.make edges Float.nan in
-    (* Edge slot -> owning row, for chunked parallel filling. *)
-    let row_of = Array.make (Stdlib.max 1 edges) 0 in
+    (* At least [n] long, for its second life as the cursor. *)
+    let row_of = Array.make (Stdlib.max n edges) 0 in
     shard n (fun lo hi ->
         for i = lo to hi - 1 do
           for k = offsets.(i) to offsets.(i + 1) - 1 do
@@ -138,10 +157,20 @@ let build_sparse ~topology ~link ~packet ~range_m ~jobs =
         done);
     shard edges (fun lo hi ->
         for k = lo to hi - 1 do
-          let i = row_of.(k) and j = neighbors.(k) in
-          let d = Topology.pair_distance topology i j in
-          edge_tx_j.(k) <- tx_joules ~link ~packet ~distance_m:d
+          if neighbors.(k) > row_of.(k) then
+            edge_tx_j.(k) <- staged_tx_joules stage ~distance_m:edge_tx_j.(k)
         done);
+    let cursor = row_of in
+    Array.blit offsets 0 cursor 0 n;
+    for i = 0 to n - 1 do
+      for k = offsets.(i) to offsets.(i + 1) - 1 do
+        let j = neighbors.(k) in
+        if j > i then begin
+          edge_tx_j.(cursor.(j)) <- edge_tx_j.(k);
+          cursor.(j) <- cursor.(j) + 1
+        end
+      done
+    done;
     Sparse { offsets; neighbors; edge_tx_j }
   in
   if jobs = 1 then build (fun total task -> task 0 total)

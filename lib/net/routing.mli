@@ -50,10 +50,11 @@ val make :
     every tree rebuild under every policy.  At or below
     [dense_threshold] (default {!default_dense_threshold}) nodes the
     historic symmetric n×n grid is materialised; above it only the
-    in-range pairs are stored (CSR via a {!Spatial} grid query), and
-    [jobs] > 1 shards the edge-energy fill across a domain pool — the
-    cache is a pure function of the positions, so the result is bitwise
-    independent of [jobs]. *)
+    in-range pairs are stored (CSR via {!Spatial} grid queries, each
+    undirected pair priced once and mirrored), and [jobs] > 1 shards the
+    count, fill and pricing passes across a domain pool — the cache is a
+    pure function of the positions, so the result is bitwise independent
+    of [jobs]. *)
 
 val with_private_memo : t -> t
 (** The same router — topology, per-pair cache and packet shared,

@@ -14,12 +14,16 @@ type t = {
 
 let distance a b = Float.hypot (a.x -. b.x) (a.y -. b.y)
 
+(* Every check is written so that a NaN fails it: a comparison with NaN
+   is false, so [not (in range)] rejects it where [out of range] would
+   let it through. *)
 let of_positions ~width_m ~height_m positions =
-  if width_m <= 0.0 || height_m <= 0.0 then invalid_arg "Topology.of_positions: non-positive field";
-  Array.iter
-    (fun p ->
-      if p.x < 0.0 || p.x > width_m || p.y < 0.0 || p.y > height_m then
-        invalid_arg "Topology.of_positions: node outside field")
+  if not (Float.is_finite width_m && width_m > 0.0 && Float.is_finite height_m && height_m > 0.0)
+  then invalid_arg "Topology.of_positions: non-positive or non-finite field";
+  Array.iteri
+    (fun i p ->
+      if not (p.x >= 0.0 && p.x <= width_m && p.y >= 0.0 && p.y <= height_m) then
+        invalid_arg (Printf.sprintf "Topology.of_positions: node %d outside field" i))
     positions;
   { width_m; height_m; positions }
 

@@ -13,8 +13,9 @@ type t = {
 val distance : position -> position -> float
 
 val of_positions : width_m:float -> height_m:float -> position array -> t
-(** Raises [Invalid_argument] on non-positive fields or out-of-field
-    nodes. *)
+(** Raises [Invalid_argument] on a non-positive or non-finite (NaN,
+    infinite) field, and on a node outside the field or with a NaN
+    coordinate; the message names the node's index. *)
 
 val random : Amb_sim.Rng.t -> nodes:int -> width_m:float -> height_m:float -> t
 (** Uniform random placement. *)

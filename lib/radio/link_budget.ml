@@ -42,15 +42,29 @@ let max_range link ~tx_dbm =
   Path_loss.max_range link.channel ~tx_dbm ~carrier_hz:link.radio.Radio_frontend.carrier_hz
     ~threshold_dbm:(link.radio.Radio_frontend.sensitivity_dbm +. link.fade_margin_db)
 
+type staged = {
+  link : t;
+  loss : Path_loss.staged;
+  threshold_dbm : float;  (** sensitivity plus fade margin *)
+}
+
+(** [stage link] — the distance-independent terms of {!required_tx_dbm}
+    (staged path loss, sensitivity plus margin), computed once. *)
+let stage link =
+  { link;
+    loss = Path_loss.stage link.channel ~carrier_hz:link.radio.Radio_frontend.carrier_hz;
+    threshold_dbm = link.radio.Radio_frontend.sensitivity_dbm +. link.fade_margin_db }
+
+(** [staged_required_tx_dbm s ~distance_m] — {!required_tx_dbm} for the
+    staged link, with the same float operations in the same order. *)
+let staged_required_tx_dbm s ~distance_m =
+  let needed = s.threshold_dbm +. Path_loss.staged_loss_db s.loss ~distance_m in
+  if needed > s.link.radio.Radio_frontend.max_tx_dbm then None else Some needed
+
 (** [required_tx_dbm link ~distance_m] — the minimum TX level closing the
     link at [distance_m]; [None] when even the radio's maximum does not
     reach. *)
-let required_tx_dbm link ~distance_m =
-  let loss =
-    Path_loss.loss_db link.channel ~carrier_hz:link.radio.Radio_frontend.carrier_hz ~distance_m
-  in
-  let needed = link.radio.Radio_frontend.sensitivity_dbm +. link.fade_margin_db +. loss in
-  if needed > link.radio.Radio_frontend.max_tx_dbm then None else Some needed
+let required_tx_dbm link ~distance_m = staged_required_tx_dbm (stage link) ~distance_m
 
 (** [energy_per_delivered_bit link ~distance_m ~packet_bits] — TX energy
     per bit at the minimum closing TX level, including amortised start-up;

@@ -26,6 +26,16 @@ val required_tx_dbm : t -> distance_m:float -> float option
 (** Minimum TX level closing the link; [None] beyond the radio's
     maximum. *)
 
+type staged
+(** A link with its distance-independent terms (staged path loss,
+    sensitivity plus fade margin) computed once. *)
+
+val stage : t -> staged
+
+val staged_required_tx_dbm : staged -> distance_m:float -> float option
+(** [staged_required_tx_dbm (stage link) ~distance_m] is bit-identical to
+    [required_tx_dbm link ~distance_m], which is defined by it. *)
+
 val energy_per_delivered_bit : t -> distance_m:float -> packet_bits:float -> Amb_units.Energy.t option
 (** TX energy per bit at the minimum closing level, including amortised
     start-up (the E8 curve); [None] when the link cannot close. *)

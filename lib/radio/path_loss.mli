@@ -26,6 +26,17 @@ val loss_db : model -> carrier_hz:float -> distance_m:float -> float
 (** Path loss in dB; zero at or below zero distance; raises
     [Invalid_argument] on a non-positive carrier. *)
 
+type staged
+(** A model bound to a carrier, with its distance-independent terms
+    (wavelength, reference-distance loss) computed once. *)
+
+val stage : model -> carrier_hz:float -> staged
+(** Raises [Invalid_argument] on a non-positive carrier. *)
+
+val staged_loss_db : staged -> distance_m:float -> float
+(** [staged_loss_db (stage m ~carrier_hz) ~distance_m] is bit-identical
+    to [loss_db m ~carrier_hz ~distance_m], which is defined by it. *)
+
 val received_dbm : model -> tx_dbm:float -> carrier_hz:float -> distance_m:float -> float
 
 val max_range : model -> tx_dbm:float -> carrier_hz:float -> threshold_dbm:float -> float

@@ -232,6 +232,10 @@ let city ?leaf ?relay ?sink ?tag ?tag_link ?(tags = 0) ?link ?packet ?(jobs = 1)
     Link_budget.max_range link
       ~tx_dbm:link.Link_budget.radio.Radio_frontend.max_tx_dbm
   in
+  if not (range_m > 0.0) then
+    invalid_arg
+      (Printf.sprintf "Fleet.city: the %s link cannot close at any distance (radio range %g m)"
+         link.Link_budget.radio.Radio_frontend.name range_m);
   (* Field side chosen so a uniform placement lands [target_degree]
      nodes inside one radio range: area = n * pi * r^2 / degree. *)
   let side =

@@ -157,7 +157,9 @@ val city :
     parallel work, and the routing cache builds sparse above the dense
     threshold — so the fleet is a pure function of [seed], bitwise
     independent of [jobs], and O(n + edges) in memory.  Raises
-    [Invalid_argument] when [nodes] < 4 or [tags] < 0. *)
+    [Invalid_argument] when [nodes] < 4, [tags] < 0, or [link] cannot
+    close at any distance (zero radio range; the message names the
+    radio). *)
 
 val homogeneous :
   ?link:Amb_radio.Link_budget.t ->

@@ -197,6 +197,107 @@ let prop_sparse_routing_equiv =
       let db, _ = Graph.dijkstra (Routing.build_graph sparse ~policy:Routing.Min_energy ~residual) ~src:0 in
       !same && Array.for_all2 (fun a b -> a = b) da db)
 
+(* Random layouts seeded with pairs on one row (or one column) at
+   exactly the radio range and one ulp either side: [hypot d 0 = d], so
+   their distances sit inside the spatial scan's guard band, where the
+   squared-distance test must defer to [Float.hypot].  The CSR and every
+   spatial query are checked against the brute-force pair scan. *)
+let boundary_layout seed =
+  let rng = Amb_sim.Rng.create (11_000 + seed) in
+  let link = default_link () in
+  let range_m = Link_budget.max_range link ~tx_dbm:link.Link_budget.radio.Radio_frontend.max_tx_dbm in
+  let width_m = 5.0 *. range_m and height_m = 3.0 *. range_m in
+  let points = ref [] in
+  for _ = 1 to 40 + Amb_sim.Rng.int rng 100 do
+    points :=
+      { Topology.x = Amb_sim.Rng.uniform rng 0.0 width_m; y = Amb_sim.Rng.uniform rng 0.0 height_m }
+      :: !points
+  done;
+  (* [a + d] with [(a + d) - a = d] exactly, else [0 + d]. *)
+  let offset_by d a = if (a +. d) -. a = d then (a, a +. d) else (0.0, d) in
+  List.iter
+    (fun d ->
+      for _ = 1 to 2 do
+        let y = Amb_sim.Rng.uniform rng 0.0 height_m in
+        let x0, x1 = offset_by d (Amb_sim.Rng.uniform rng 0.0 (width_m -. range_m -. 1.0)) in
+        points := { Topology.x = x0; y } :: { Topology.x = x1; y } :: !points;
+        let x = Amb_sim.Rng.uniform rng 0.0 width_m in
+        let y0, y1 = offset_by d (Amb_sim.Rng.uniform rng 0.0 (height_m -. range_m -. 1.0)) in
+        points := { Topology.x = x; y = y0 } :: { Topology.x = x; y = y1 } :: !points
+      done)
+    [ range_m; Float.pred range_m; Float.succ range_m ];
+  (* Shuffle, so boundary pairs land on forward and backward rows. *)
+  let points = Array.of_list !points in
+  for i = Array.length points - 1 downto 1 do
+    let j = Amb_sim.Rng.int rng (i + 1) in
+    let p = points.(i) in
+    points.(i) <- points.(j);
+    points.(j) <- p
+  done;
+  (Topology.of_positions ~width_m ~height_m points, link, range_m)
+
+let brute_rows topo ~range_m =
+  let n = Topology.node_count topo in
+  Array.init n (fun i ->
+      List.filter
+        (fun j -> j <> i && Topology.pair_distance topo i j <= range_m)
+        (List.init n Fun.id))
+
+let prop_boundary_csr =
+  QCheck.Test.make ~name:"CSR matches the pair scan at the range boundary" ~count:30
+    QCheck.small_nat
+    (fun seed ->
+      let topo, link, range_m = boundary_layout seed in
+      let rows = brute_rows topo ~range_m in
+      let n = Topology.node_count topo in
+      let check jobs =
+        let router =
+          Routing.make ~dense_threshold:0 ~jobs ~topology:topo ~link ~packet:Packet.sensor_report ()
+        in
+        match router.Routing.cache with
+        | Routing.Dense _ -> false
+        | Routing.Sparse { offsets; neighbors; edge_tx_j } ->
+          router.Routing.range_m = range_m
+          && List.for_all
+               (fun i ->
+                 let row = List.init (offsets.(i + 1) - offsets.(i)) (fun k -> offsets.(i) + k) in
+                 List.map (fun k -> neighbors.(k)) row = rows.(i)
+                 && List.for_all
+                      (fun k ->
+                        let d = Topology.pair_distance topo i neighbors.(k) in
+                        Int64.equal
+                          (Int64.bits_of_float edge_tx_j.(k))
+                          (Int64.bits_of_float (Routing.tx_energy_j_at router ~distance_m:d)))
+                      row)
+               (List.init n Fun.id)
+      in
+      check 1 && check 3)
+
+let prop_boundary_spatial =
+  QCheck.Test.make ~name:"spatial queries match the pair scan at the range boundary" ~count:30
+    QCheck.small_nat
+    (fun seed ->
+      let topo, _, range_m = boundary_layout seed in
+      let rows = brute_rows topo ~range_m in
+      let n = Topology.node_count topo in
+      let index = Topology.spatial topo ~cell_m:range_m in
+      let ids = Array.make n (-1) and dists = Array.make n Float.nan in
+      List.for_all
+        (fun i ->
+          let seen = ref [] in
+          Spatial.iter_within index i ~range_m (fun j d -> seen := (j, d) :: !seen);
+          let stop = Spatial.fill_within index i ~range_m ids dists 0 in
+          let filled = Array.to_list (Array.sub ids 0 stop) in
+          Spatial.degree index i ~range_m = List.length rows.(i)
+          && Spatial.neighbors_within index i ~range_m = rows.(i)
+          && filled = rows.(i)
+          && List.sort compare !seen
+             = List.map (fun j -> (j, Topology.pair_distance topo i j)) rows.(i)
+          && List.for_all
+               (fun k -> ids.(k) < i || dists.(k) = Topology.pair_distance topo i ids.(k))
+               (List.init stop Fun.id))
+        (List.init n Fun.id))
+
 (* The parallel CSR edge-energy fill is a pure function of positions:
    jobs must not move a bit.  n is sized so the fill crosses the 4096-
    edge threshold that actually engages the pool. *)
@@ -223,6 +324,30 @@ let test_sparse_fill_jobs_independent () =
       end
     done
   done
+
+(* Golden digest of a city-scale CSR: MD5 over [offsets], [neighbors]
+   and the bits of every [edge_tx_j], pinned from the two-scan build
+   that priced both directions of every pair.  The dense-vs-sparse property above stops
+   at 100 nodes; this one covers ~1.6e5 undirected pairs, so any change
+   to the scan, the row order or the energy of one edge moves it. *)
+let csr_digest router =
+  match router.Routing.cache with
+  | Routing.Dense _ -> Alcotest.fail "expected the sparse cache"
+  | Routing.Sparse { offsets; neighbors; edge_tx_j } ->
+    let b = Buffer.create (8 * (Array.length offsets + (2 * Array.length neighbors))) in
+    Array.iter (fun v -> Buffer.add_int64_le b (Int64.of_int v)) offsets;
+    Array.iter (fun v -> Buffer.add_int64_le b (Int64.of_int v)) neighbors;
+    Array.iter (fun e -> Buffer.add_int64_le b (Int64.bits_of_float e)) edge_tx_j;
+    Digest.to_hex (Digest.string (Buffer.contents b))
+
+let golden_csr_digest = "1d33bebf1dd1b26b7660f57da5bf8798"
+
+let test_city_csr_golden () =
+  let digest jobs =
+    csr_digest (Amb_system.Fleet.city ~jobs ~nodes:20_000 ~seed:7 ()).Amb_system.Fleet.router
+  in
+  Alcotest.(check string) "jobs=1" golden_csr_digest (digest 1);
+  Alcotest.(check string) "jobs=2" golden_csr_digest (digest 2)
 
 (* --- CSR route tree vs dense sweeps ---------------------------------- *)
 
@@ -333,6 +458,8 @@ let suite =
       prop_calendar_pop_order;
       prop_calendar_interleaved;
       prop_sparse_routing_equiv;
+      prop_boundary_csr;
+      prop_boundary_spatial;
       prop_route_tree_csr_equiv;
     ]
   @ [ Alcotest.test_case "connectivity grid tier equals brute force" `Quick
@@ -342,6 +469,7 @@ let suite =
       Alcotest.test_case "sparse edge fill is jobs-independent" `Quick
         test_sparse_fill_jobs_independent;
       Alcotest.test_case "city layout is jobs-independent" `Quick test_city_jobs_independent;
+      Alcotest.test_case "city CSR matches its golden digest" `Quick test_city_csr_golden;
       Alcotest.test_case "tier membership arrays are consistent" `Quick
         test_tier_nodes_consistent;
       Alcotest.test_case "run_many sweep is jobs-independent" `Quick

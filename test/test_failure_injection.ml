@@ -245,6 +245,63 @@ let test_zero_budget_network () =
   Alcotest.(check bool) "death happened" true (o.Amb_net.Net_sim.first_death <> None);
   Alcotest.(check bool) "nothing delivered" true (o.Amb_net.Net_sim.delivered = 0)
 
+(* Non-finite inputs: every comparison with NaN is false, so a guard
+   written as "out of range" lets a NaN through.  Each must fail, and a
+   bad node must be named by its index. *)
+let invalid_message f =
+  match f () with
+  | exception Invalid_argument msg -> Some msg
+  | _ -> None
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+let test_non_finite_geometry () =
+  let open Amb_net in
+  let field ?(width_m = 10.0) ?(height_m = 10.0) positions () =
+    Topology.of_positions ~width_m ~height_m positions
+  in
+  let ok = { Topology.x = 1.0; y = 1.0 } in
+  let names_node name k positions =
+    match invalid_message (field positions) with
+    | None -> Alcotest.failf "%s: accepted" name
+    | Some msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %S names node %d" name msg k)
+        true
+        (contains ~sub:(Printf.sprintf "node %d" k) msg)
+  in
+  names_node "NaN x" 1 [| ok; { Topology.x = Float.nan; y = 1.0 }; ok |];
+  names_node "NaN y" 2 [| ok; ok; { Topology.x = 1.0; y = Float.nan } |];
+  names_node "infinite x" 0 [| { Topology.x = Float.infinity; y = 1.0 } |];
+  check_guard "topology NaN width" (field ~width_m:Float.nan [| ok |]);
+  check_guard "topology NaN height" (field ~height_m:Float.nan [| ok |]);
+  check_guard "topology infinite width" (field ~width_m:Float.infinity [| ok |]);
+  check_guard "topology -infinite height" (field ~height_m:Float.neg_infinity [| ok |]);
+  let spatial ?(width_m = 10.0) ?(height_m = 10.0) () =
+    Spatial.make ~xs:[| 1.0 |] ~ys:[| 1.0 |] ~width_m ~height_m ~cell_m:1.0
+  in
+  check_guard "spatial NaN width" (spatial ~width_m:Float.nan);
+  check_guard "spatial NaN height" (spatial ~height_m:Float.nan);
+  check_guard "spatial infinite width" (spatial ~width_m:Float.infinity);
+  ignore (spatial ())
+
+(* A link that cannot close at any distance has zero radio range; the
+   city must refuse it by naming the radio, not fail later on the
+   zero-sized field that range implies. *)
+let test_city_zero_range () =
+  let radio = Amb_circuit.Radio_frontend.backscatter_uhf in
+  let link = Amb_radio.Link_budget.make ~radio ~channel:Amb_radio.Path_loss.indoor () in
+  match invalid_message (fun () -> Amb_system.Fleet.city ~link ~nodes:100 ~seed:1 ()) with
+  | None -> Alcotest.fail "city accepted a link with zero range"
+  | Some msg ->
+    Alcotest.(check bool)
+      (Printf.sprintf "%S names the radio" msg)
+      true
+      (contains ~sub:radio.Amb_circuit.Radio_frontend.name msg)
+
 let test_empty_mapping () =
   let a = Amb_core.Mapping.assign ~hosts:[] ~functions:Amb_core.Ami_function.catalogue in
   Alcotest.(check bool) "nothing placed" true (a.Amb_core.Mapping.placed = []);
@@ -265,4 +322,6 @@ let suite =
     ("degenerate network states", `Quick, test_degenerate_states);
     ("zero-budget network", `Quick, test_zero_budget_network);
     ("empty mapping", `Quick, test_empty_mapping);
+    ("non-finite geometry", `Quick, test_non_finite_geometry);
+    ("city with zero radio range", `Quick, test_city_zero_range);
   ]
